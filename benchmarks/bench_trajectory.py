@@ -165,7 +165,8 @@ def _serve_probe(sessions: int = 40, seed: int = 7) -> dict:
         server = DetectorServer(
             network,
             default_host=Url.parse(entry_url).host,
-            config=ServeConfig(),
+            # The swarm names each simulated client in X-Forwarded-For.
+            config=ServeConfig(trust_forwarded_for=True),
         )
         await server.start()
         started = time.perf_counter()

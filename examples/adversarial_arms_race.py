@@ -73,8 +73,8 @@ def main() -> None:
         ip = f"10.66.0.{index + 1}"
         agent = build(ip, rng.split(f"adv-{index}"), entry)
         runner.run(agent, start_time=index * 10_000.0)
-        state = node.detection.tracker.get(ip, agent.user_agent)
-        verdict = node.detection.classifier.classify_final(state)
+        state = node.session(ip, agent.user_agent)
+        verdict = node.classifier.classify_final(state)
         evaded = verdict.label.value == "human"
         marker = "  <-- EVADED" if evaded else ""
         print(f"{name:>22} | {verdict.label.value:>7} | "

@@ -9,7 +9,7 @@ Demonstrates the ingress subsystem end to end:
    bounded per-lane queues (one lane per proxy node, routed by the
    stable client-IP hash) consumed by serial, thread and true-parallel
    process executors — and the census comes out byte-identical on every
-   executor, at every queue depth, and to the synchronous loop;
+   executor, at every queue depth, and to the default replay;
 3. replay once more with a tiny queue and the load-shedding policy to
    show overload handling: shed requests are *counted* in the network
    stats, never silently dropped;
@@ -94,10 +94,10 @@ def main() -> None:
         )
         print(f"live census: {sorted(recorded.kind_census().items())}")
 
-        # The synchronous loop is the reference ...
+        # The default replay (inline serial lanes) is the reference ...
         baseline = replay(trace, probes)
         print(
-            f"\nsynchronous replay: {baseline.requests_replayed} requests, "
+            f"\ndefault replay: {baseline.requests_replayed} requests, "
             f"{baseline.analyzable_count} analyzable sessions"
         )
 

@@ -65,19 +65,19 @@ def main() -> None:
 
     for name, agent in population:
         record = runner.run(agent, start_time=0.0)
-        state = node.detection.tracker.get(agent.client_ip, agent.user_agent)
-        verdict = node.detection.classifier.classify_final(state)
-        blocked = node.detection.policy.is_blocked(state.session_id)
+        state = node.session(agent.client_ip, agent.user_agent)
+        verdict = node.classifier.classify_final(state)
+        blocked = detection.policy.is_blocked(state.session_id)
         print(f"{name:>8} @{agent.client_ip}: {record.requests} requests, "
               f"verdict={verdict.label.value}, "
               f"{'BLOCKED' if blocked else 'not blocked'}")
 
     print(f"\nnode refused {node.stats.policy_blocked} requests in total")
-    print(f"blocked sessions: {node.detection.policy.blocked_sessions}")
+    print(f"blocked sessions: {detection.policy.blocked_sessions}")
 
     print("\nrobot-evidence events (first 10):")
     interesting = [
-        e for e in node.detection.event_log
+        e for e in detection.event_log
         if e.kind.is_robot_evidence or e.kind.value == "session_started"
     ]
     for event in interesting[:10]:

@@ -46,7 +46,13 @@ async def live_run(trace_path: str, probes_path: str):
     server = DetectorServer(
         network,
         default_host=website.host,
-        config=ServeConfig(trace_path=trace_path, probes_path=probes_path),
+        config=ServeConfig(
+            trace_path=trace_path,
+            probes_path=probes_path,
+            # The swarm below fronts every simulated client from
+            # loopback and names it in X-Forwarded-For.
+            trust_forwarded_for=True,
+        ),
     )
     await server.start()
     print(f"serving {entry} on {server.address}")

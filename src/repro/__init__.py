@@ -34,11 +34,9 @@ from repro.detection import (
     SessionSets,
     SessionState,
     SessionTracker,
-    ShardedDetectionService,
     Verdict,
 )
 from repro.ingress import (
-    AsyncIngress,
     IngressConfig,
     IngressPipeline,
     MicroBatchConfig,
@@ -83,7 +81,6 @@ __version__ = "1.3.0"
 __all__ = [
     "ATTRIBUTE_NAMES",
     "AdaBoostClassifier",
-    "AsyncIngress",
     "BatchScorer",
     "BurstArrival",
     "CODEEN_WEEK",
@@ -108,7 +105,6 @@ __all__ = [
     "SessionSets",
     "SessionState",
     "SessionTracker",
-    "ShardedDetectionService",
     "SiteConfig",
     "SiteGenerator",
     "TraceRecord",

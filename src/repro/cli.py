@@ -246,9 +246,9 @@ def build_replay_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--executor", choices=("serial", "thread", "process"),
         default=None,
-        help="stream events through the pipelined ingress on this lane "
-             "executor instead of the synchronous loop (results are "
-             "identical; 'process' runs nodes truly in parallel)",
+        help="ingress lane executor (default: serial lanes inline; "
+             "results are identical on every executor; 'process' runs "
+             "nodes truly in parallel)",
     )
     parser.add_argument(
         "--queue-depth", type=int, default=0,
@@ -823,6 +823,10 @@ def run_serve(argv: list[str]) -> int:
             probes_path=args.probes,
             policy=args.shed,
             adaptive=adaptive,
+            # The swarm runs on loopback and names each simulated
+            # client in X-Forwarded-For; without it, keep the socket
+            # peer as the client identity.
+            trust_forwarded_for=bool(args.swarm),
         )
     except (KeyError, ValueError) as exc:
         message = exc.args[0] if exc.args else str(exc)

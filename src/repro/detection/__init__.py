@@ -27,11 +27,6 @@ from repro.detection.policy import PolicyAction, PolicyConfig, RobotPolicy
 from repro.detection.service import DetectionService, RequestOutcome
 from repro.detection.session import SessionKey, SessionState
 from repro.detection.set_algebra import SessionSets, SetAlgebraSummary
-from repro.detection.sharded import (
-    ShardedDetectionService,
-    shard_index,
-    shard_service,
-)
 from repro.detection.tracker import SessionTracker
 from repro.detection.verdict import Label, Verdict
 
@@ -51,8 +46,5 @@ __all__ = [
     "SessionState",
     "SessionTracker",
     "SetAlgebraSummary",
-    "ShardedDetectionService",
     "Verdict",
-    "shard_index",
-    "shard_service",
 ]

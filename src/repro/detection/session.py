@@ -154,3 +154,13 @@ class SessionState:
             setattr(self, attribute, request_index)
             return True
         return False
+
+
+def session_order(state: SessionState) -> tuple[float, str, str]:
+    """Merge order for sessions gathered from several detection shards.
+
+    ``(started_at, client_ip, user_agent)`` depends on neither the
+    shard count nor the lane layout, so merged session lists come out
+    the same for every partitioning.
+    """
+    return (state.started_at, state.key.client_ip, state.key.user_agent)

@@ -18,8 +18,8 @@ Because lanes are total partitions of mutable state and each lane is
 consumed in admission order, the final reductions are a pure function
 of the admitted event sequence: executor choice and queue depth change
 wall-clock behaviour, never results.  The merge step reassembles lane
-results in lane order (the same order the synchronous code iterates
-nodes), so even list layouts match the one-thread path.
+results in lane order (the network's node order), so even list layouts
+match across executors.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from repro.ingress.executors import EXECUTOR_KINDS, build_executor
 from repro.ingress.queues import ShedPolicy
 from repro.ingress.workers import LaneResult
 from repro.detection.online import DetectionLatency
-from repro.detection.session import SessionState
-from repro.detection.sharded import _session_order
+from repro.detection.session import SessionState, session_order
 from repro.detection.set_algebra import SessionSets
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.batch import BatchVerdict
@@ -193,11 +192,13 @@ class IngressResult:
 class IngressPipeline:
     """Routes admitted events onto per-lane queues behind an executor.
 
-    One lane per proxy node; build workers with
-    :func:`replay_workers` / the workload engine's session workers and
-    feed events through :meth:`submit` from a single admission driver
-    (the calling thread, :class:`~repro.ingress.frontend.ThreadedDriver`,
-    or :class:`~repro.ingress.frontend.AsyncIngress`).
+    One lane per proxy node (or per node shard, with
+    ``lanes_per_node``); build workers with :func:`replay_workers` / the
+    workload engine's session workers and feed events through
+    :meth:`submit` from one admission thread.  Trace replay
+    (:class:`~repro.trace.replay.TraceReplayEngine`, every executor
+    including the default serial lanes) and ``mode="pipelined"``
+    workloads both run through here.
     """
 
     def __init__(
@@ -217,7 +218,7 @@ class IngressPipeline:
         if config.executor == "process" and (
             network.taps
             or any(
-                node.detection.registry.has_listeners
+                node.registry.has_listeners
                 for node in network.nodes
             )
             or any(node.has_metric_listeners for node in network.nodes)
@@ -464,8 +465,8 @@ class IngressPipeline:
                 result.latencies.extend(lane.latencies)
         else:
             # Per-shard lanes: regroup each node's shard lanes and merge
-            # their sessions in the same deterministic order the sharded
-            # service's own reductions use, latencies riding along with
+            # their sessions in the same deterministic order the node's
+            # own reductions use, latencies riding along with
             # their sessions — so the merged lists are byte-identical to
             # the one-lane-per-node layout.
             for start in range(0, len(lane_results), lanes_per_node):
@@ -476,7 +477,7 @@ class IngressPipeline:
                         lane.sessions, lane.latencies
                     )
                 ]
-                pairs.sort(key=lambda pair: _session_order(pair[0]))
+                pairs.sort(key=lambda pair: session_order(pair[0]))
                 result.sessions.extend(pair[0] for pair in pairs)
                 result.latencies.extend(pair[1] for pair in pairs)
         result.queued = result.stats.queued

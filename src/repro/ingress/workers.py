@@ -8,9 +8,10 @@ own probe-registry, cache and rate-limiter partitions.  Either way the
 containment property holds: a lane's events touch that lane's state
 only, which is what makes lanes safe to run on threads or in separate
 processes with no locks and no cross-talk.  The two classes expose the
-same surface (``handle_traced``, ``detection``, ``metrics``, ``stats``,
-``housekeeping``, ``metrics_snapshot``), so workers are agnostic to
-lane granularity.
+same surface (``handle_traced``, ``registry``, ``session``,
+``note_captcha``, ``finalize``, ``analyzable_sessions``,
+``detection_latencies``, ``metrics``, ``stats``, ``housekeeping``,
+``metrics_snapshot``), so workers are agnostic to lane granularity.
 
 Two worker flavours:
 
@@ -21,7 +22,7 @@ Two worker flavours:
 * :class:`WorkloadLaneWorker` consumes *session* events (agent + start
   time), then drives them through the node with the interleaved
   event-time scheduler at finish, annotating ground truth and running
-  the CAPTCHA funnel exactly like the synchronous engine — per-IP RNG
+  the CAPTCHA funnel exactly like the workload engine — per-IP RNG
   splits make those outcomes independent of which lane a session
   landed on.
 
@@ -150,7 +151,7 @@ class ReplayLaneWorker:
             # The batcher may only evict accumulators for sessions the
             # tracker would rotate on return; a shorter eviction window
             # would silently truncate feature histories.  Clamp up.
-            tracker_timeout = node.detection.tracker.idle_timeout
+            tracker_timeout = node.session_idle_timeout
             if batch.idle_timeout < tracker_timeout:
                 batch = replace(batch, idle_timeout=tracker_timeout)
         self._batcher = MicroBatcher(scorer_model, batch)
@@ -240,10 +241,10 @@ class ReplayLaneWorker:
                     wall_duration=self._last_wait, wall_end=wall_now,
                 )
                 with tracer.span("register", ts):
-                    self.node.detection.registry.register(record.to_probe())
+                    self.node.registry.register(record.to_probe())
                 tracer.end()
             else:
-                self.node.detection.registry.register(record.to_probe())
+                self.node.registry.register(record.to_probe())
             self._probes_loaded += 1
             return
         ts = record.timestamp
@@ -301,16 +302,16 @@ class ReplayLaneWorker:
             else:
                 self._batcher.close()
             with tracer.span("finalize", end):
-                self.node.detection.finalize()
+                self.node.finalize()
             tracer.end(flags=("finish",))
         else:
             self._batcher.close()
-            self.node.detection.finalize()
+            self.node.finalize()
         return LaneResult(
             lane=self.lane,
             stats=self.node.stats,
-            sessions=self.node.detection.tracker.analyzable(),
-            latencies=self.node.detection.detection_latencies(),
+            sessions=self.node.analyzable_sessions(),
+            latencies=self.node.detection_latencies(),
             ml_verdicts=self._batcher.verdicts,
             handled=self._handled,
             probes_loaded=self._probes_loaded,
@@ -343,12 +344,14 @@ class ReplayLaneWorker:
         return skew
 
     def _sweep(self, timestamp: float) -> None:
-        # Same anchoring as the synchronous replay loop, but on this
-        # lane's own event clock: the first event arms the timer, and a
-        # sweep at the end of an idle gap subsumes the boundary sweeps
-        # inside it.  Sweep timing is behaviour-neutral (idle rotation,
-        # cache TTL and bucket eviction are all re-checked on access),
-        # so lane-local clocks keep results identical to the global one.
+        # Sweeps follow this lane's own event clock, anchored at its
+        # first event: real logs carry absolute dates (years past the
+        # virtual epoch), so counting boundaries from zero would spin
+        # through no-op sweeps, and a sweep at the end of an idle gap
+        # subsumes the boundary sweeps inside it.  Sweep timing is
+        # behaviour-neutral (idle rotation, cache TTL and bucket
+        # eviction are all re-checked on access), so lane-local clocks
+        # give the same results as one global clock.
         if self._interval is None:
             return
         if self._next_sweep is None:
@@ -497,16 +500,16 @@ class WorkloadLaneWorker:
             )
             tracer.begin("finish", end)
             with tracer.span("finalize", end):
-                self.node.detection.finalize()
+                self.node.finalize()
             tracer.end(flags=("finish",))
         else:
-            self.node.detection.finalize()
+            self.node.finalize()
         export_captcha_stats(self.node.metrics, self._captcha.stats)
         return LaneResult(
             lane=self.lane,
             stats=self.node.stats,
-            sessions=self.node.detection.tracker.analyzable(),
-            latencies=self.node.detection.detection_latencies(),
+            sessions=self.node.analyzable_sessions(),
+            latencies=self.node.detection_latencies(),
             handled=sum(record.requests for record in records),
             records=indexed_records,
             examples=examples,
@@ -521,9 +524,7 @@ class WorkloadLaneWorker:
         # CAPTCHA stream is split per client IP from the engine's base
         # stream, so outcomes are identical whichever lane (or process)
         # the session ran in.
-        state = self.node.detection.tracker.get(
-            record.client_ip, record.user_agent
-        )
+        state = self.node.session(record.client_ip, record.user_agent)
         if state is None:
             return
         state.true_label = record.true_label
@@ -535,6 +536,6 @@ class WorkloadLaneWorker:
             is_human=record.true_label == "human",
         )
         if outcome is CaptchaOutcome.PASSED:
-            self.node.detection.note_captcha(state, True, record.ended_at)
+            self.node.note_captcha(state, True, record.ended_at)
         elif outcome is CaptchaOutcome.FAILED:
-            self.node.detection.note_captcha(state, False, record.ended_at)
+            self.node.note_captcha(state, False, record.ended_at)

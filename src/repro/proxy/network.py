@@ -107,20 +107,13 @@ class ProxyNetwork:
         ]
         self._taps: list[Callable[[Request, Response], None]] = []
 
-    def shard_detection(
-        self, n_shards: int, max_workers: int | None = None
-    ) -> None:
+    def shard_detection(self, n_shards: int) -> None:
         """Re-partition every node's detection state into ``n_shards``.
 
         Must run before traffic; idempotent per shard count.
         """
         for node in self.nodes:
-            node.shard_detection(n_shards, max_workers=max_workers)
-
-    def close_detection(self) -> None:
-        """Release every node's detection executor threads, if any."""
-        for node in self.nodes:
-            node.close_detection()
+            node.shard_detection(n_shards)
 
     @property
     def taps(self) -> tuple[Callable[[Request, Response], None], ...]:
@@ -164,21 +157,11 @@ class ProxyNetwork:
         return self.nodes[self.node_index_for(client_ip)]
 
     def handle(self, request: Request) -> Response:
-        """Route a request to its node and process it."""
-        return self.handle_traced(request)[0]
-
-    def handle_traced(self, request: Request):
-        """Route a request to its node, exposing the detection outcome.
-
-        Returns ``(response, outcome)`` — what the sync replay loop's
-        tracing needs to flag robot/error traces; taps fire either way.
-        """
-        response, outcome = self.node_for(
-            request.client_ip
-        ).handle_traced(request)
+        """Route a request to its node and process it; taps observe it."""
+        response = self.node_for(request.client_ip).handle(request)
         for tap in self._taps:
             tap(request, response)
-        return response, outcome
+        return response
 
     def housekeeping(self, now: float) -> None:
         """Run maintenance on every node."""
@@ -198,8 +181,8 @@ class ProxyNetwork:
         """Deployment-wide metrics: node registries merged in node order.
 
         Node order is the same order the ingress merges lanes in, so a
-        synchronous run and a pipelined run reduce their deterministic
-        metrics identically.
+        workload driven through the network and one driven through the
+        ingress lanes reduce their deterministic metrics identically.
         """
         from repro.obs.registry import merge_snapshots
 
@@ -212,15 +195,14 @@ class ProxyNetwork:
         """Finalize all nodes and collect every analyzable session."""
         sessions: list[SessionState] = []
         for node in self.nodes:
-            node.detection.finalize()
-            sessions.extend(node.detection.tracker.analyzable())
+            sessions.extend(node.finalize())
         return sessions
 
     def session_sets(self) -> SessionSets:
         """Network-wide set-algebra census (call after finalize_sessions)."""
         sets = SessionSets()
         for node in self.nodes:
-            for state in node.detection.tracker.analyzable():
+            for state in node.analyzable_sessions():
                 sets.add(state)
         return sets
 
@@ -228,5 +210,5 @@ class ProxyNetwork:
         """Network-wide Figure 2 samples (call after finalize_sessions)."""
         samples: list[DetectionLatency] = []
         for node in self.nodes:
-            samples.extend(node.detection.detection_latencies())
+            samples.extend(node.detection_latencies())
         return samples

@@ -10,15 +10,24 @@ The request path mirrors an instrumented CoDeeN node:
 6. origin forwarding; 200 HTML responses are instrumented per client and
    marked uncacheable before delivery.
 
-Since the state-partitioning refactor the node is a *router over
-shards*: every piece of per-client mutable state — the detection
-shard, its probe-registry partition, the cache partition and the
-rate-limit buckets — lives inside a :class:`NodeShard`, keyed by the
-stable client-IP hash (:func:`repro.state.partition.partition_index`).
-The full request path runs inside the owning shard, so a shard is a
-self-contained lane of execution: the ingress can run one process
-lane per ``(node, shard)`` instead of one per node, and the node
-merely merges shard stats and metrics for its callers.
+The node is a *router over shards*: every piece of per-client mutable
+state — a :class:`~repro.detection.service.DetectionService`, its
+probe-registry partition, the cache partition and the rate-limit
+buckets — lives inside a :class:`NodeShard`, keyed by the stable
+client-IP hash (:func:`repro.state.partition.partition_index`).  The
+full request path runs inside the owning shard, so a shard is a
+self-contained lane of execution: the ingress can run one lane per
+``(node, shard)`` instead of one per node.
+
+``detection_shards=0`` keeps one unsharded service (session ids
+``sess-000001 ...``); ``N >= 1`` builds N services with ``sNN-`` id
+prefixes over a :class:`~repro.state.stores.PartitionedRegistry`.
+Node-wide reductions (:meth:`ProxyNode.finalize`,
+:meth:`ProxyNode.analyzable_sessions`,
+:meth:`ProxyNode.detection_latencies`) merge the shards in
+:func:`~repro.detection.session.session_order`, so shard counts 1, 2
+and 8 give identical lists.  :class:`NodeShard` exposes the same
+names, so lane workers run on either without caring which.
 """
 
 from __future__ import annotations
@@ -26,8 +35,9 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, fields
 
+from repro.detection.online import DetectionLatency, OnlineClassifier
 from repro.detection.service import DetectionService, RequestOutcome
-from repro.detection.sharded import ShardedDetectionService, shard_service
+from repro.detection.session import SessionState, session_order
 from repro.http.content import ContentKind
 from repro.http.message import Request, Response, error_response
 from repro.instrument.keys import InstrumentationRegistry
@@ -50,7 +60,11 @@ from repro.proxy.cache import ProxyCache
 from repro.proxy.ratelimit import RateLimitConfig, TokenBucketLimiter
 from repro.site.origin import OriginServer
 from repro.state.partition import partition_index
-from repro.state.stores import PartitionedCache, PartitionedLimiter
+from repro.state.stores import (
+    PartitionedCache,
+    PartitionedLimiter,
+    PartitionedRegistry,
+)
 from repro.util.rng import RngStream
 
 __all__ = ["NodeStats", "NodeShard", "ProxyNode"]
@@ -361,6 +375,39 @@ class NodeShard:
         if beacon:
             self.stats.beacon_bytes_served += response.size
 
+    # -- detection state ----------------------------------------------------
+
+    @property
+    def registry(self) -> InstrumentationRegistry:
+        """This shard's probe-registry partition."""
+        return self.detection.registry
+
+    @property
+    def session_idle_timeout(self) -> float:
+        """Seconds of inactivity after which a session ends."""
+        return self.detection.tracker.idle_timeout
+
+    def session(self, client_ip: str, user_agent: str) -> SessionState | None:
+        """The live session for ``<client_ip, user_agent>``, if any."""
+        return self.detection.tracker.get(client_ip, user_agent)
+
+    def note_captcha(self, state: SessionState, passed: bool, timestamp: float):
+        """Record a CAPTCHA result against one of this shard's sessions."""
+        return self.detection.note_captcha(state, passed, timestamp)
+
+    def finalize(self) -> list[SessionState]:
+        """Retire every live session; returns the analyzable ones."""
+        self.detection.finalize()
+        return self.analyzable_sessions()
+
+    def analyzable_sessions(self) -> list[SessionState]:
+        """Completed above-noise sessions, in completion order."""
+        return self.detection.tracker.analyzable()
+
+    def detection_latencies(self) -> list[DetectionLatency]:
+        """Figure 2 samples, one per analyzable session."""
+        return self.detection.detection_latencies()
+
     # -- maintenance --------------------------------------------------------
 
     def housekeeping(self, now: float) -> None:
@@ -427,7 +474,7 @@ class ProxyNode:
         rng: RngStream,
         instrument_config: InstrumentConfig | None = None,
         rate_limit: RateLimitConfig | None = None,
-        detection: DetectionService | ShardedDetectionService | None = None,
+        detection: DetectionService | None = None,
         instrument_enabled: bool = True,
         detection_shards: int = 0,
     ) -> None:
@@ -446,18 +493,12 @@ class ProxyNode:
         # instrumenters sharing this parent stay deterministic under
         # any partitioning of the request stream.
         self._instrument_rng = rng.split(f"instrumenter-{node_id}")
-        if detection is not None:
-            self.detection = detection
-        elif detection_shards:
-            self.detection = ShardedDetectionService(
-                InstrumentationRegistry(), n_shards=detection_shards
-            )
-        else:
-            self.detection = DetectionService(InstrumentationRegistry())
         self.metrics = MetricsRegistry()
         #: PartitionedLadder facade once :meth:`enable_ladder` ran.
         self.ladder = None
-        self._build_shards()
+        if detection is None:
+            detection = DetectionService(InstrumentationRegistry())
+        self._build_shards(detection, detection.registry, detection_shards)
 
     def enable_ladder(self, config: LadderConfig | None = None):
         """Enable the graduated response ladder on every state shard.
@@ -481,14 +522,40 @@ class ProxyNode:
             return None
         return self.shard_for(client_ip).ladder
 
-    def _build_shards(self) -> None:
-        """(Re)derive per-shard state from the current detection layout."""
-        if isinstance(self.detection, ShardedDetectionService):
-            services = self.detection.shards
-            registry_partitions = self.detection.registry.partitions
+    def _build_shards(
+        self,
+        template: DetectionService,
+        registry: InstrumentationRegistry | PartitionedRegistry,
+        n_shards: int,
+    ) -> None:
+        """(Re)build the node's state shards.
+
+        ``n_shards=0`` hosts ``template`` itself as the one unsharded
+        service.  ``N >= 1`` migrates ``registry`` (probes and
+        listeners) into N IP partitions and builds one service per
+        partition with ``template``'s configuration; distinct ``sNN``
+        id prefixes keep session ids unique without coordination.
+        """
+        if n_shards < 0:
+            raise ValueError("detection_shards must be non-negative")
+        if n_shards == 0:
+            self.registry = registry
+            services = [template]
         else:
-            services = [self.detection]
-            registry_partitions = [self.detection.registry]
+            self.registry = PartitionedRegistry.migrate(registry, n_shards)
+            services = [
+                DetectionService(
+                    self.registry.partition(index),
+                    idle_timeout=template.tracker.idle_timeout,
+                    min_requests=template.tracker.min_requests,
+                    online_config=template.classifier.config,
+                    policy_config=template.policy.config,
+                    enforce_policy=template.enforce_policy,
+                    session_id_prefix=f"s{index:02d}",
+                )
+                for index in range(n_shards)
+            ]
+        self._detection_shards = n_shards
         n = len(services)
         self.cache = PartitionedCache(n)
         self.limiter = (
@@ -499,7 +566,7 @@ class ProxyNode:
         # Kept for callers that instrument pages directly against the
         # node; the request path uses the per-shard instrumenters.
         self.instrumenter = PageInstrumenter(
-            self.detection.registry,
+            self.registry,
             self._instrument_rng,
             self._instrument_config,
         )
@@ -518,7 +585,7 @@ class ProxyNode:
                     else None
                 ),
                 PageInstrumenter(
-                    registry_partitions[index],
+                    services[index].registry,
                     self._instrument_rng,
                     self._instrument_config,
                 ),
@@ -600,8 +667,8 @@ class ProxyNode:
     def attach_tracer(self, tracer) -> None:
         """Attach one span tracer to every state shard (``None`` detaches).
 
-        Node-as-lane layouts (the sync replay loop, ``lanes_per_node=1``)
-        share a single tracer across the node's shards: requests are
+        Node-as-lane layouts (``lanes_per_node=1``) share a single
+        tracer across the node's shards: requests are
         handled one at a time, so stage spans still nest correctly under
         the caller's open trace.
         """
@@ -637,50 +704,83 @@ class ProxyNode:
             ]
         )
 
+    # -- detection state ----------------------------------------------------
+
+    @property
+    def classifier(self) -> OnlineClassifier:
+        """The (stateless) online classifier, identical on every shard."""
+        return self._shards[0].detection.classifier
+
+    @property
+    def session_idle_timeout(self) -> float:
+        """Seconds of inactivity after which a session ends."""
+        return self._shards[0].session_idle_timeout
+
+    def session(self, client_ip: str, user_agent: str) -> SessionState | None:
+        """The live session for ``<client_ip, user_agent>``, if any."""
+        return self.shard_for(client_ip).session(client_ip, user_agent)
+
+    def note_captcha(self, state: SessionState, passed: bool, timestamp: float):
+        """Record a CAPTCHA result on the session's owning shard."""
+        return self.shard_for(state.key.client_ip).note_captcha(
+            state, passed, timestamp
+        )
+
+    def finalize(self) -> list[SessionState]:
+        """Retire every shard's live sessions; merged analyzable ones."""
+        for shard in self._shards:
+            shard.detection.finalize()
+        return self.analyzable_sessions()
+
+    def analyzable_sessions(self) -> list[SessionState]:
+        """Completed above-noise sessions across every shard.
+
+        A sharded node merges its shards in
+        :func:`~repro.detection.session.session_order`; an unsharded
+        node keeps its one tracker's completion order.
+        """
+        if not self._detection_shards:
+            return self._shards[0].analyzable_sessions()
+        return sorted(
+            (
+                state
+                for shard in self._shards
+                for state in shard.analyzable_sessions()
+            ),
+            key=session_order,
+        )
+
+    def detection_latencies(self) -> list[DetectionLatency]:
+        """Figure 2 samples, in :meth:`analyzable_sessions` order."""
+        return [
+            DetectionLatency.from_state(state)
+            for state in self.analyzable_sessions()
+        ]
+
     # -- reconfiguration ----------------------------------------------------
 
-    def shard_detection(
-        self, n_shards: int, max_workers: int | None = None
-    ) -> None:
+    def shard_detection(self, n_shards: int) -> None:
         """Re-partition detection state into ``n_shards`` shards.
 
         Must run before any traffic: session state cannot be re-hashed
         between shard layouts.  The probe registry (and with it any
-        registrations a replay journal already loaded) migrates into
-        the new partition layout; caches and rate buckets are empty
-        pre-traffic, so they are simply rebuilt with the new partition
-        count.  No-op when the node is already sharded to the requested
-        count.
+        registrations a replay journal already loaded, and its
+        listeners) migrates into the new partition layout; caches and
+        rate buckets are empty pre-traffic, so they are simply rebuilt
+        with the new partition count.  No-op when the node is already
+        sharded to the requested count.
         """
-        if (
-            isinstance(self.detection, ShardedDetectionService)
-            and self.detection.n_shards == n_shards
-            and (
-                max_workers is None
-                or self.detection.max_workers == max_workers
-            )
-        ):
+        if n_shards < 1:
+            raise ValueError("n_shards must be >= 1")
+        if n_shards == self._detection_shards:
             return
-        if self.stats.requests or self.detection.tracker.total_started:
+        if self.stats.requests or any(
+            shard.detection.tracker.total_started for shard in self._shards
+        ):
             raise RuntimeError(
                 f"{self.node_id}: cannot re-shard detection after traffic"
             )
-        previous = self.detection
-        self.detection = shard_service(
-            previous, n_shards, max_workers=max_workers
-        )
-        if isinstance(previous, ShardedDetectionService):
-            previous.close()
-        self._build_shards()
-
-    def close_detection(self) -> None:
-        """Release detection-side resources (shard executor threads).
-
-        Safe to call at any time: a later shard-parallel operation
-        lazily recreates the executor it needs.
-        """
-        if isinstance(self.detection, ShardedDetectionService):
-            self.detection.close()
+        self._build_shards(self._shards[0].detection, self.registry, n_shards)
 
     def housekeeping(self, now: float) -> None:
         """Periodic maintenance, swept per state shard: idle sessions,

@@ -20,10 +20,18 @@ reached a node: admission sheds and the server-local CAPTCHA endpoints
 never entered detection, so they are counted in metrics but stay out
 of the log (the same out-of-band funnel the record CLI documents).
 
-Client identity: every socket shows the peer address, so the server can
-trust ``X-Forwarded-For`` (on by default — the swarm and any fronting
-load balancer put the real client there).  Disable it when serving
-untrusted peers directly.
+Client identity: by default a request is keyed on its socket peer's
+address, which a client cannot pick.  ``trust_forwarded_for`` opts into
+taking it from ``X-Forwarded-For`` instead, for a server behind a
+fronting proxy or load generator that puts the real client there (the
+``repro serve --swarm`` loopback swarm does).  Never enable it for
+untrusted peers: any of them could pick its own address and walk away
+from its per-IP state.
+
+Shutdown: :meth:`DetectorServer.close` stops accepting, lets requests
+already inside a node finish and answers them with ``Connection:
+close``, hangs up idle keep-alive connections, and only then shuts the
+handler pool and writes the access log and probe journal.
 """
 
 from __future__ import annotations
@@ -92,8 +100,9 @@ class ServeConfig:
     #: Idle seconds before a keep-alive connection is dropped.
     keep_alive_timeout: float = 15.0
     max_requests_per_connection: int = 1000
-    #: Resolve client identity from ``X-Forwarded-For`` when present.
-    trust_forwarded_for: bool = True
+    #: Resolve client identity from ``X-Forwarded-For`` when present;
+    #: only safe behind a trusted fronting proxy.
+    trust_forwarded_for: bool = False
     #: Live CLF access log (``.gz`` compresses); None keeps it in
     #: memory only (``server.records``).
     trace_path: str | None = None
@@ -167,7 +176,11 @@ class DetectorServer:
             )
         self._epoch: float | None = None
         self._last_us = 0
-        self._open_connections = 0
+        #: Open connections by handler task, and the subset waiting for
+        #: their next request (what close() may hang up on).
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        self._idle: dict[asyncio.Task, asyncio.StreamReader] = {}
+        self._closing = False
         self._trace_handle = None
         self._housekeeper: asyncio.Task | None = None
         #: Every exchange that reached a node, in completion order
@@ -195,7 +208,7 @@ class DetectorServer:
             for node in self._network.nodes:
                 node.enable_ladder(cfg.ladder)
         for node in self._network.nodes:
-            node.detection.registry.add_listener(self._observe_probe)
+            node.registry.add_listener(self._observe_probe)
         if cfg.trace_path is not None:
             self._trace_handle = open_trace_file(cfg.trace_path, "wt")
         self._server = await asyncio.start_server(
@@ -225,7 +238,17 @@ class DetectorServer:
         await self._server.serve_forever()
 
     async def close(self) -> None:
-        """Stop accepting, flush the trace, write the probe journal."""
+        """Stop accepting, end every connection, write the logs.
+
+        Requests already being handled are answered first; idle
+        keep-alive connections are hung up.  A connection still open
+        after ``keep_alive_timeout`` (a peer that stopped reading) is
+        aborted.
+        """
+        self._closing = True
+        if self._server is not None:
+            self._server.close()
+        await self._close_connections()
         if self._housekeeper is not None:
             self._housekeeper.cancel()
             try:
@@ -234,14 +257,13 @@ class DetectorServer:
                 pass
             self._housekeeper = None
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
             self._server = None
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
         for node in self._network.nodes:
-            node.detection.registry.remove_listener(self._observe_probe)
+            node.registry.remove_listener(self._observe_probe)
         if self._trace_handle is not None:
             self._trace_handle.close()
             self._trace_handle = None
@@ -253,6 +275,22 @@ class DetectorServer:
             write_probe_journal(
                 self._config.probes_path, self.sorted_probes()
             )
+
+    async def _close_connections(self) -> None:
+        # An idle handler reads end-of-stream and returns by itself; a
+        # cancelled one would make the stream machinery log a traceback.
+        for task, reader in self._idle.items():
+            self._handlers[task].transport.pause_reading()
+            reader.feed_eof()
+        if not self._handlers:
+            return
+        _done, stuck = await asyncio.wait(
+            list(self._handlers), timeout=self._config.keep_alive_timeout
+        )
+        for task in stuck:
+            self._handlers[task].transport.abort()
+        if stuck:
+            await asyncio.wait(stuck)
 
     # -- results ------------------------------------------------------------
 
@@ -310,14 +348,16 @@ class DetectorServer:
     ) -> None:
         m = self.metrics
         m.connections.inc()
-        self._open_connections += 1
-        m.open_connections.set(self._open_connections)
+        task = asyncio.current_task()
+        self._handlers[task] = writer
+        m.open_connections.set(len(self._handlers))
         peer = writer.get_extra_info("peername")
         peer_ip = peer[0] if peer else "0.0.0.0"
         accepted = time.perf_counter()
         served = 0
         try:
-            while True:
+            while not self._closing:
+                self._idle[task] = reader
                 try:
                     parsed = await asyncio.wait_for(
                         read_request(
@@ -342,6 +382,8 @@ class DetectorServer:
                     break
                 except (ConnectionResetError, OSError):
                     break
+                finally:
+                    del self._idle[task]
                 if parsed is None:
                     break
                 served += 1
@@ -357,6 +399,7 @@ class DetectorServer:
                     and served < self._config.max_requests_per_connection
                 )
                 response, head = await self._dispatch(parsed, peer_ip)
+                keep_alive = keep_alive and not self._closing
                 try:
                     await self._write(
                         writer, response, head=head, keep_alive=keep_alive
@@ -366,8 +409,8 @@ class DetectorServer:
                 if not keep_alive:
                     break
         finally:
-            self._open_connections -= 1
-            m.open_connections.set(self._open_connections)
+            del self._handlers[task]
+            m.open_connections.set(len(self._handlers))
             writer.close()
             try:
                 await writer.wait_closed()

@@ -7,8 +7,8 @@ Unkeyed operations (sweeps, stats, lengths) fan out and merge.
 
 Two properties the rest of the system leans on:
 
-* **Containment** — the router and the sharded detection service use
-  the *same* hash, so a lane that carries partition ``i`` holds every
+* **Containment** — the lane router and the node's detection shards
+  use the *same* hash, so a lane that carries partition ``i`` holds every
   piece of state the requests routed to it can touch.  That is what
   lets process lanes run one-per-shard instead of one-per-node.
 * **Lane-count invariance** — partition-local state evolves as a pure

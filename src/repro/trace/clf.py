@@ -202,25 +202,27 @@ def parse_clf_time(text: str) -> float:
     day = int(match.group("day"))
     days = _days_since_epoch(year, month, day)
     seconds = (
-        days * 86_400.0
+        days * 86_400
         + int(match.group("hour")) * 3600
         + int(match.group("minute")) * 60
         + int(match.group("second"))
     )
-    fraction = match.group("fraction")
-    if fraction:
-        seconds += int(fraction.ljust(6, "0")) / 1_000_000
     if match.group("sign"):
         offset = int(match.group("zh")) * 3600 + int(match.group("zm")) * 60
         if match.group("sign") == "+":
             seconds -= offset
         else:
             seconds += offset
-    if seconds < 0:
+    # Whole microseconds, divided once, so that parsing inverts
+    # format_clf_time exactly for any microsecond-resolution timestamp.
+    micros = seconds * 1_000_000 + int(
+        (match.group("fraction") or "0").ljust(6, "0")
+    )
+    if micros < 0:
         raise TraceParseError(
             f"timestamp predates the trace epoch ({TRACE_EPOCH}): {text!r}"
         )
-    return seconds
+    return micros / 1_000_000
 
 
 def _is_leap(year: int) -> bool:

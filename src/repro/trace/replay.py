@@ -4,10 +4,12 @@ pipeline in global timestamp order.
 This is how BOTracle/BotGraph-style evaluations work — the classifier is
 judged on a recorded request log rather than on scripted clients.  The
 engine heap-merges any number of trace sources (plus an optional probe
-journal) into one time-ordered event stream, pushes every request
-through :meth:`ProxyNetwork.handle`, runs periodic
-:meth:`ProxyNetwork.housekeeping` sweeps, and reduces the outcome to the
-same census/set-algebra/latency shape the synthetic engine produces
+journal) into one time-ordered event stream and admits it through the
+:mod:`repro.ingress` pipeline: every event lands on its client's lane
+(one per node, or per node shard), each lane handles its events in
+admission order and sweeps housekeeping on its own event clock, and the
+merged lane results reduce to the same census/set-algebra/latency shape
+the synthetic engine produces
 (:class:`~repro.workload.results.SessionCensus`), so every analysis and
 reporting consumer works unchanged.
 
@@ -30,15 +32,9 @@ from repro.detection.online import DetectionLatency
 from repro.detection.session import SessionState
 from repro.detection.set_algebra import SetAlgebraSummary
 from repro.ml.batch import BatchVerdict
-from repro.obs.flight import FlightFrame, FlightRecorder, merge_flight
+from repro.obs.flight import FlightFrame
 from repro.obs.registry import MetricsSnapshot
-from repro.obs.spans import (
-    SpanConfig,
-    SpanTracer,
-    SpanTree,
-    TailSampler,
-    merge_traces,
-)
+from repro.obs.spans import SpanConfig, SpanTree
 from repro.proxy.network import NetworkStats, ProxyNetwork
 from repro.trace.clf import ParseStats, TraceRecord, read_trace
 from repro.trace.recorder import ProbeRecord, read_probe_journal
@@ -67,16 +63,14 @@ class ReplayConfig:
     timestamp order (the recorder writes sorted files; real access logs
     usually are too) — required for constant-memory streaming.
     ``shards`` > 0 hash-partitions each node's detection state into that
-    many shards before the first event (0 keeps the network as built);
-    ``shard_workers`` sizes the optional executor behind the shards'
-    batch and housekeeping paths.
+    many shards before the first event (0 keeps the network as built).
 
-    ``executor`` switches the replay from the synchronous one-request-
-    at-a-time loop to the pipelined ingress: events stream onto bounded
-    per-lane queues (one lane per node, ``queue_depth`` events each,
-    None = unbounded) consumed by ``serial``/``thread``/``process`` lane
-    executors.  Results are bit-identical to the synchronous loop unless
-    ``shed`` opts the full-queue behaviour into counted load shedding.
+    Events stream onto per-lane ingress queues (one lane per node,
+    ``queue_depth`` events each, None = unbounded) consumed by the
+    ``executor``'s lane workers: ``serial`` (inline, also what None
+    runs), ``thread`` or ``process``.  The executor choice and queue
+    depth never change results; ``shed`` opts the full-queue behaviour
+    into counted load shedding and needs an explicit ``executor``.
     ``scorer_model`` additionally micro-batches §4.2 ensemble scoring
     per lane under the ``batch`` count/latency budgets.
     """
@@ -86,7 +80,6 @@ class ReplayConfig:
     default_host: str | None = None
     strict: bool = False
     shards: int = 0
-    shard_workers: int | None = None
     executor: str | None = None
     queue_depth: int | None = None
     shed: bool = False
@@ -106,15 +99,13 @@ class ReplayConfig:
     lanes_per_node: int = 1
     scorer_model: "AdaBoostModel | None" = None
     batch: "MicroBatchConfig | None" = None
-    #: Virtual-time flight-recorder sampling interval (None = off).
-    #: Works on both the synchronous loop (per-node recorders) and the
-    #: pipelined ingress (per-lane + admission-side recorders) — the
-    #: sampling grid is absolute, so both produce the same frames.
+    #: Virtual-time flight-recorder sampling interval (None = off):
+    #: per-lane plus admission-side recorders on an absolute grid, so
+    #: every executor produces the same frames.
     flight_interval: float | None = None
-    #: Tail-sampling budgets for causal span tracing (None = off).
-    #: Works on both paths: the synchronous loop runs one tracer per
-    #: node, the pipelined ingress one per lane — the virtual view of
-    #: the retained trees is identical either way.
+    #: Tail-sampling budgets for causal span tracing (None = off): one
+    #: tracer per lane; the virtual view of the retained trees is the
+    #: same on every executor.
     spans: SpanConfig | None = None
 
     def __post_init__(self) -> None:
@@ -126,8 +117,6 @@ class ReplayConfig:
             )
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 when given")
         if self.executor is not None:
             from repro.ingress.executors import EXECUTOR_KINDS
 
@@ -240,212 +229,13 @@ class TraceReplayEngine:
         Multiple sources — e.g. one log per front-end node — are merged
         by timestamp on the fly; each individual source must be sorted
         when ``assume_sorted`` is set, and is sorted here otherwise.
+        Probe-journal registrations are admitted with ``force`` (key
+        material is never shed) and ride the same lane queue as their
+        IP's requests, which keeps every registration ahead of the
+        fetches it explains.
         """
         if not sources:
             raise ValueError("replay needs at least one trace source")
-        cfg = self._config
-        if cfg.shards:
-            self._network.shard_detection(
-                cfg.shards, max_workers=cfg.shard_workers
-            )
-        try:
-            return self._replay(*sources, probes=probes)
-        finally:
-            # Release shard-executor threads the replay may have
-            # spawned; lazily recreated if the network is reused.
-            if cfg.shard_workers:
-                self._network.close_detection()
-
-    def _replay(
-        self,
-        *sources: TraceSource,
-        probes: ProbeSource | None = None,
-    ) -> ReplayResult:
-        if self._config.executor is not None:
-            return self._replay_pipelined(*sources, probes=probes)
-        cfg = self._config
-        parse_stats = ParseStats()
-        probe_parse_stats = ParseStats()
-
-        streams = [
-            self._events(
-                self._trace_records(src, parse_stats), _REQUEST_EVENT, index
-            )
-            for index, src in enumerate(sources)
-        ]
-        if probes is not None:
-            streams.append(
-                self._events(
-                    self._probe_records(probes, probe_parse_stats),
-                    _PROBE_EVENT,
-                    len(streams),
-                )
-            )
-
-        result = ReplayResult(
-            sessions=[],
-            summary=SetAlgebraSummary(0, 0, 0, 0, 0, 0, 0, 0),
-            stats=NetworkStats(),
-            latencies=[],
-            parse_stats=parse_stats,
-            probe_parse_stats=probe_parse_stats,
-        )
-        identities: dict[tuple[str, str], tuple[str, str]] = {}
-        # Sweeps follow event time, anchored at the first event: real
-        # logs carry absolute dates (years past the virtual epoch), so
-        # counting boundaries from zero would spin through hundreds of
-        # thousands of no-op sweeps before the first request, and a
-        # single sweep at the end of a long idle gap subsumes all the
-        # boundary sweeps inside it.
-        interval = cfg.housekeeping_interval or None
-        next_sweep = None
-        first = last = None
-        # Per-node flight recorders, ticked on each node's own event
-        # stream — identical frame sequences to what pipelined lanes
-        # record, because the sampling grid is absolute and a node sees
-        # the same events in the same order either way.
-        recorders = (
-            [
-                FlightRecorder(
-                    cfg.flight_interval, node.metrics,
-                    snapshot=node.metrics_snapshot,
-                )
-                for node in self._network.nodes
-            ]
-            if cfg.flight_interval
-            else None
-        )
-        # Per-node tracers mirror the pipelined lanes exactly: lane =
-        # node index, one begun-trace sequence per node, queue_wait
-        # recorded (zero — there is no queue here) so tree shapes match
-        # the ingress path span for span.
-        tracers: list[SpanTracer] | None = None
-        lane_clocks: list[float | None] = []
-        if cfg.spans is not None:
-            tracers = [
-                SpanTracer(index, TailSampler(cfg.spans))
-                for index in range(len(self._network.nodes))
-            ]
-            lane_clocks = [None] * len(self._network.nodes)
-            for index, node in enumerate(self._network.nodes):
-                node.attach_tracer(tracers[index])
-        # Deferred for the same package-cycle reason as the pipelined
-        # imports below.
-        if tracers is not None:
-            from repro.ingress.workers import _request_flags
-
-        for timestamp, priority, _stream, _seq, item in heapq.merge(*streams):
-            if interval is not None:
-                if next_sweep is None:
-                    next_sweep = timestamp + interval
-                elif timestamp >= next_sweep:
-                    self._network.housekeeping(timestamp)
-                    next_sweep = timestamp + interval
-            index = (
-                self._network.node_index_for(item.client_ip)
-                if recorders is not None or tracers is not None
-                else 0
-            )
-            if recorders is not None:
-                recorders[index].tick(timestamp)
-            tracer = None
-            if tracers is not None:
-                tracer = tracers[index]
-                clock = lane_clocks[index]
-                skew = (
-                    0.0 if clock is None else max(0.0, clock - timestamp)
-                )
-                if clock is None or timestamp > clock:
-                    lane_clocks[index] = timestamp
-            if priority == _PROBE_EVENT:
-                node = self._network.node_for(item.client_ip)
-                if tracer is not None:
-                    tracer.begin("probe", timestamp)
-                    tracer.record(
-                        "queue_wait", timestamp, timestamp + skew
-                    )
-                    with tracer.span("register", timestamp):
-                        node.detection.registry.register(item.to_probe())
-                    tracer.end()
-                else:
-                    node.detection.registry.register(item.to_probe())
-                result.probes_loaded += 1
-                continue
-
-            if item.agent_kind or item.true_label:
-                identities[(item.client_ip, item.user_agent)] = (
-                    item.agent_kind,
-                    item.true_label,
-                )
-            if tracer is not None:
-                tracer.begin("request", timestamp)
-                tracer.record("queue_wait", timestamp, timestamp + skew)
-                with tracer.span("handle", timestamp):
-                    response, outcome = self._network.handle_traced(
-                        item.to_request()
-                    )
-                    flags = _request_flags(response, outcome)
-                tracer.end(flags=flags)
-            else:
-                self._network.handle(item.to_request())
-            result.requests_replayed += 1
-            if first is None:
-                first = timestamp
-            last = timestamp
-
-        if tracers is None:
-            sessions = self._network.finalize_sessions()
-        else:
-            # finalize_sessions(), inlined so each node's finalization
-            # lands in an always-retained finish trace (one per lane,
-            # exactly like the pipelined workers emit).
-            sessions = []
-            for index, node in enumerate(self._network.nodes):
-                tracer = tracers[index]
-                end = lane_clocks[index]
-                end = 0.0 if end is None else end
-                tracer.begin("finish", end)
-                with tracer.span("finalize", end):
-                    node.detection.finalize()
-                tracer.end(flags=("finish",))
-                sessions.extend(node.detection.tracker.analyzable())
-                node.attach_tracer(None)
-            result.spans = merge_traces(
-                tracer.traces() for tracer in tracers
-            )
-        apply_session_identities(sessions, identities)
-
-        result.sessions = sessions
-        result.summary = self._network.session_sets().summary()
-        result.stats = self._network.stats()
-        result.latencies = self._network.detection_latencies()
-        result.first_timestamp = first or 0.0
-        result.last_timestamp = last or 0.0
-        result.metrics = self._network.metrics_snapshot()
-        if recorders is not None:
-            result.flight = merge_flight(
-                [recorder.frames for recorder in recorders],
-                [
-                    node.metrics_snapshot()
-                    for node in self._network.nodes
-                ],
-            )
-        return result
-
-    def _replay_pipelined(
-        self,
-        *sources: TraceSource,
-        probes: ProbeSource | None = None,
-    ) -> ReplayResult:
-        """The ingress path: stream events onto per-lane queues.
-
-        Same heap-merged event order as the synchronous loop — but the
-        loop only *admits*; per-node processing happens on the lanes'
-        executors.  Probe-journal registrations are admitted with
-        ``force`` (key material is never shed) and ride the same lane
-        queue as their IP's requests, which preserves the registration-
-        before-fetch ordering the probe table depends on.
-        """
         # Deferred import: repro.trace's package init imports this
         # module, and the ingress package imports trace machinery.
         from repro.ingress.batcher import MicroBatchConfig
@@ -458,6 +248,8 @@ class TraceReplayEngine:
         from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 
         cfg = self._config
+        if cfg.shards:
+            self._network.shard_detection(cfg.shards)
         parse_stats = ParseStats()
         probe_parse_stats = ParseStats()
 
@@ -502,8 +294,8 @@ class TraceReplayEngine:
         )
 
         identities: dict[tuple[str, str], tuple[str, str]] = {}
-        for _time, priority, _stream, _seq, item in heapq.merge(*streams):
-            pipeline.tick(_time)
+        for timestamp, priority, _stream, _seq, item in heapq.merge(*streams):
+            pipeline.tick(timestamp)
             if priority == _PROBE_EVENT:
                 pipeline.submit(
                     (PROBE_EVENT, item), item.client_ip, force=True

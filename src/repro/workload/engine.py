@@ -84,7 +84,6 @@ class WorkloadConfig:
     arrival: ArrivalProfile = field(default_factory=UniformArrival)
     housekeeping_interval: float = 600.0
     shards: int = 0
-    shard_workers: int | None = None
     executor: str = "serial"
     queue_depth: int | None = None
     #: Pipelined mode only: shed (and count) whole sessions instead of
@@ -119,8 +118,6 @@ class WorkloadConfig:
             raise ValueError("housekeeping_interval must be non-negative")
         if self.shards < 0:
             raise ValueError("shards must be non-negative")
-        if self.shard_workers is not None and self.shard_workers < 1:
-            raise ValueError("shard_workers must be >= 1 when given")
         from repro.ingress.executors import EXECUTOR_KINDS
 
         if self.executor not in EXECUTOR_KINDS:
@@ -200,19 +197,7 @@ class WorkloadEngine:
         """Replay the whole workload and reduce the results."""
         cfg = self._config
         if cfg.shards:
-            self._network.shard_detection(
-                cfg.shards, max_workers=cfg.shard_workers
-            )
-        try:
-            return self._run()
-        finally:
-            # Release shard-executor threads the run may have spawned;
-            # lazily recreated if the caller keeps using the network.
-            if cfg.shard_workers:
-                self._network.close_detection()
-
-    def _run(self) -> WorkloadResult:
-        cfg = self._config
+            self._network.shard_detection(cfg.shards)
         agents = self._mix.sample_many(
             self._rng.split("population"), self._entry_url, cfg.n_sessions
         )
@@ -482,9 +467,7 @@ class WorkloadEngine:
         client IP, so outcomes are independent of session ordering.
         """
         node = self._network.node_for(record.client_ip)
-        state = node.detection.tracker.get(
-            record.client_ip, record.user_agent
-        )
+        state = node.session(record.client_ip, record.user_agent)
         if state is None:
             return
         state.true_label = record.true_label
@@ -496,6 +479,6 @@ class WorkloadEngine:
                 is_human=record.true_label == "human",
             )
             if outcome is CaptchaOutcome.PASSED:
-                node.detection.note_captcha(state, True, record.ended_at)
+                node.note_captcha(state, True, record.ended_at)
             elif outcome is CaptchaOutcome.FAILED:
-                node.detection.note_captcha(state, False, record.ended_at)
+                node.note_captcha(state, False, record.ended_at)

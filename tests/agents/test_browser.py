@@ -35,7 +35,7 @@ def _run_browser(make_node, entry_url, profile, seed=1, config=FAST):
         config=config,
     )
     record = SessionRunner(node.handle).run(agent)
-    state = node.detection.tracker.get(agent.client_ip, agent.user_agent)
+    state = node.session(agent.client_ip, agent.user_agent)
     return record, state, node
 
 
@@ -55,7 +55,7 @@ class TestStandardBrowser:
     def test_is_classified_human(self, make_node, entry_url):
         profile = BehaviorProfile(mouse_move_probability=1.0)
         _, state, node = _run_browser(make_node, entry_url, profile)
-        verdict = node.detection.classifier.classify_final(state)
+        verdict = node.classifier.classify_final(state)
         assert verdict.label.value == "human"
 
     def test_browser_fetches_trap_image_not_trap_page(
@@ -81,7 +81,7 @@ class TestJsDisabledBrowser:
         assert not state.in_js_set
         assert not state.in_mouse_set
         # The set algebra still calls this a human.
-        verdict = node.detection.classifier.classify_final(state)
+        verdict = node.classifier.classify_final(state)
         assert verdict.label.value == "human"
 
     def test_no_script_fetches(self, make_node, entry_url):

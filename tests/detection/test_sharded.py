@@ -1,4 +1,9 @@
-"""Tests for repro.detection.sharded."""
+"""Sharded detection state inside a proxy node.
+
+``ProxyNode(detection_shards=N)`` splits a node's detection state into
+N :class:`~repro.detection.service.DetectionService` shards keyed by
+the client-IP partition hash; node-wide reductions merge them.
+"""
 
 from __future__ import annotations
 
@@ -6,20 +11,19 @@ import pytest
 
 from repro.detection.online import OnlineClassifier
 from repro.detection.service import DetectionService
-from repro.detection.sharded import (
-    ShardedDetectionService,
-    merge_sessions,
-    shard_index,
-    shard_service,
-)
+from repro.detection.session import session_order
+from repro.detection.set_algebra import SessionSets
 from repro.http.headers import Headers
-from repro.http.message import Method, Request, Response
+from repro.http.message import Method, Request
 from repro.http.uri import Url
 from repro.instrument.keys import (
     BeaconKind,
     InstrumentationRegistry,
     RegisteredProbe,
 )
+from repro.proxy.node import ProxyNode
+from repro.state.partition import partition_index
+from repro.util.rng import RngStream
 
 
 def _probe(client_ip: str, key: str) -> RegisteredProbe:
@@ -65,43 +69,57 @@ def _stream(n_clients: int = 24, requests_each: int = 12) -> list[Request]:
     return requests
 
 
-def _drive(service, requests) -> None:
-    response = Response(status=200, headers=Headers(), body=b"ok")
+def _node(detection_shards: int = 0, detection=None) -> ProxyNode:
+    return ProxyNode(
+        node_id="node-test",
+        origins={},
+        rng=RngStream(1, "node"),
+        detection=detection,
+        instrument_enabled=False,
+        detection_shards=detection_shards,
+    )
+
+
+def _drive(node: ProxyNode, requests) -> None:
     for request in requests:
-        outcome = service.handle_request(request)
-        service.note_response(outcome, response)
+        node.handle(request)
 
 
-def _census(service) -> dict[tuple[str, str, float], int]:
+def _census(node: ProxyNode) -> dict[tuple[str, str, float], int]:
     return {
         (s.key.client_ip, s.key.user_agent, s.started_at): s.request_count
-        for s in service.tracker.analyzable()
+        for s in node.analyzable_sessions()
     }
+
+
+def _live(node: ProxyNode) -> list[int]:
+    return [shard.detection.tracker.live_count for shard in node.state_shards]
 
 
 class TestShardIndex:
     def test_stable_and_in_range(self):
         for n in (1, 2, 3, 8, 64):
-            index = shard_index("1.2.3.4", n)
+            index = partition_index("1.2.3.4", n)
             assert 0 <= index < n
-            assert index == shard_index("1.2.3.4", n)
+            assert index == partition_index("1.2.3.4", n)
 
     def test_single_shard_short_circuits(self):
-        assert shard_index("anything", 1) == 0
+        assert partition_index("anything", 1) == 0
 
     def test_ip_only_routing_ignores_user_agent(self):
         # Routing is per client IP so a shard owns every piece of state
         # (registry / cache / limiter partitions) the IP can touch; the
         # user agent only distinguishes sessions *within* a shard.
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        assert sharded.shard_index_for(
-            "9.9.9.9", "bot/1.0"
-        ) == sharded.shard_index_for("9.9.9.9", "browser/2.0")
+        node = _node(detection_shards=8)
+        node.handle(_request("9.9.9.9", "bot/1.0"))
+        node.handle(_request("9.9.9.9", "browser/2.0"))
+        owner = node.shard_for("9.9.9.9")
+        assert owner.session("9.9.9.9", "bot/1.0") is not None
+        assert owner.session("9.9.9.9", "browser/2.0") is not None
+        assert sum(_live(node)) == 2
 
     def test_keys_spread_across_shards(self):
-        indices = {shard_index(f"10.0.0.{i}", 8) for i in range(200)}
+        indices = {partition_index(f"10.0.0.{i}", 8) for i in range(200)}
         assert len(indices) == 8
 
 
@@ -109,194 +127,178 @@ class TestShardedService:
     @pytest.mark.parametrize("n_shards", [1, 2, 8])
     def test_matches_unsharded_service(self, n_shards):
         requests = _stream()
-        plain = DetectionService(InstrumentationRegistry())
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=n_shards
-        )
+        plain = _node()
+        sharded = _node(detection_shards=n_shards)
         _drive(plain, requests)
         _drive(sharded, requests)
         plain.finalize()
         sharded.finalize()
 
-        assert sharded.tracker.total_started == plain.tracker.total_started
+        assert sharded.n_state_shards == n_shards
+        started = [
+            sum(s.detection.tracker.total_started for s in node.state_shards)
+            for node in (plain, sharded)
+        ]
+        assert started[0] == started[1]
         assert _census(sharded) == _census(plain)
         assert (
-            sharded.session_sets().summary()
-            == plain.session_sets().summary()
+            SessionSets.from_sessions(sharded.analyzable_sessions()).summary()
+            == SessionSets.from_sessions(plain.analyzable_sessions()).summary()
         )
 
     def test_requests_route_to_owning_shard(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        request = _request("9.9.9.9", "bot/1.0")
-        sharded.handle_request(request)
-        owner = sharded.shard_index_for("9.9.9.9", "bot/1.0")
-        for index, shard in enumerate(sharded.shards):
-            expected = 1 if index == owner else 0
-            assert shard.tracker.live_count == expected
-        assert sharded.tracker.live_count == 1
-        assert sharded.tracker.get("9.9.9.9", "bot/1.0") is not None
+        node = _node(detection_shards=4)
+        node.handle(_request("9.9.9.9", "bot/1.0"))
+        owner = node.shard_index_for("9.9.9.9")
+        assert _live(node) == [
+            1 if index == owner else 0 for index in range(4)
+        ]
+        assert node.session("9.9.9.9", "bot/1.0") is not None
 
     def test_session_ids_unique_across_shards(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream())
-        sharded.finalize()
-        ids = [s.session_id for s in sharded.tracker.completed]
+        node = _node(detection_shards=8)
+        _drive(node, _stream())
+        node.finalize()
+        ids = []
+        for index, shard in enumerate(node.state_shards):
+            for state in shard.detection.tracker.completed:
+                assert state.session_id.startswith(f"s{index:02d}-")
+                ids.append(state.session_id)
         assert len(ids) == len(set(ids))
 
-    def test_handle_batch_preserves_input_order(self):
-        requests = _stream(n_clients=16, requests_each=12)
-        sequential = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        outcomes_seq = [sequential.handle_request(r) for r in requests]
-        batched = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        outcomes_batch = batched.handle_batch(requests)
-
-        assert len(outcomes_batch) == len(requests)
-        for a, b, request in zip(outcomes_seq, outcomes_batch, requests):
-            assert b.state.key.client_ip == request.client_ip
-            assert a.request_index == b.request_index
-            assert a.verdict.label == b.verdict.label
-
-    def test_executor_path_equivalent(self):
-        requests = _stream()
-        plain = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(plain, requests)
-        plain.finalize()
-        with ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8, max_workers=4
-        ) as threaded:
-            threaded.handle_batch(requests)
-            threaded.finalize()
-            assert _census(threaded) == _census(plain)
-            assert (
-                threaded.session_sets().summary()
-                == plain.session_sets().summary()
-            )
-
     def test_merged_reductions_are_deterministically_ordered(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream())
-        sessions = sharded.finalize()
-        keys = [
-            (s.started_at, s.key.client_ip, s.key.user_agent)
-            for s in sessions
-        ]
+        node = _node(detection_shards=8)
+        _drive(node, _stream())
+        sessions = node.finalize()
+        keys = [session_order(s) for s in sessions]
         assert keys == sorted(keys)
-        latencies = sharded.detection_latencies()
+        assert len(sessions) == sum(
+            len(shard.analyzable_sessions()) for shard in node.state_shards
+        )
+        latencies = node.detection_latencies()
         assert [l.session_id for l in latencies] == [
             s.session_id for s in sessions
         ]
 
     def test_note_captcha_routes_and_logs(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        request = _request("7.7.7.7", "human/1.0", timestamp=5.0)
-        outcome = sharded.handle_request(request)
-        event = sharded.note_captcha(outcome.state, True, timestamp=6.0)
-        assert outcome.state.passed_captcha
-        owner = sharded.shard_for("7.7.7.7", "human/1.0")
-        assert event in owner.event_log
-        assert event in sharded.event_log
+        node = _node(detection_shards=4)
+        node.handle(_request("7.7.7.7", "human/1.0", timestamp=5.0))
+        state = node.session("7.7.7.7", "human/1.0")
+        event = node.note_captcha(state, True, timestamp=6.0)
+        assert state.passed_captcha
+        owner = node.shard_for("7.7.7.7")
+        for shard in node.state_shards:
+            assert (event in shard.detection.event_log) == (shard is owner)
 
-    def test_event_log_merges_all_shards(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4
-        )
-        _drive(sharded, _stream(n_clients=8, requests_each=2))
-        merged = sharded.event_log
-        assert len(merged) == sum(
-            len(shard.event_log) for shard in sharded.shards
-        )
-        stamps = [e.timestamp for e in merged]
-        assert stamps == sorted(stamps)
+    def test_event_logs_stay_on_owning_shards(self):
+        node = _node(detection_shards=4)
+        requests = _stream(n_clients=8, requests_each=2)
+        _drive(node, requests)
+        total = 0
+        for shard in node.state_shards:
+            own = {
+                shard.session(r.client_ip, r.user_agent).session_id
+                for r in requests
+                if node.shard_for(r.client_ip) is shard
+            }
+            log = shard.detection.event_log
+            assert {event.session_id for event in log} <= own
+            stamps = [event.timestamp for event in log]
+            assert stamps == sorted(stamps)
+            total += len(log)
+        assert total == 8  # one SESSION_STARTED event per session
 
     def test_keep_event_log_fans_out(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=3
-        )
-        sharded.keep_event_log = False
-        assert not any(s.keep_event_log for s in sharded.shards)
-        _drive(sharded, _stream(n_clients=4, requests_each=2))
-        assert sharded.event_log == []
+        node = _node(detection_shards=3)
+        for shard in node.state_shards:
+            shard.detection.keep_event_log = False
+        outcomes = [
+            node.handle_traced(request)[1]
+            for request in _stream(n_clients=4, requests_each=2)
+        ]
+        assert all(not s.detection.event_log for s in node.state_shards)
+        # Events are still reported per request, just not retained.
+        assert sum(len(outcome.events) for outcome in outcomes) == 4
 
     def test_expire_idle_sweeps_every_shard(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=4, idle_timeout=100.0
+        node = _node(
+            detection=DetectionService(
+                InstrumentationRegistry(), idle_timeout=100.0
+            )
         )
-        _drive(sharded, _stream(n_clients=12, requests_each=2))
-        assert sharded.tracker.live_count == 12
-        expired = sharded.tracker.expire_idle(now=1e6)
-        assert len(expired) == 12
-        assert sharded.tracker.live_count == 0
+        node.shard_detection(4)
+        _drive(node, _stream(n_clients=12, requests_each=2))
+        assert sum(_live(node)) == 12
+        assert all(_live(node))
+        node.housekeeping(now=1e6)
+        assert _live(node) == [0, 0, 0, 0]
 
     def test_invalid_params(self):
-        registry = InstrumentationRegistry()
         with pytest.raises(ValueError):
-            ShardedDetectionService(registry, n_shards=0)
+            _node().shard_detection(0)
         with pytest.raises(ValueError):
-            ShardedDetectionService(registry, n_shards=2, max_workers=0)
+            _node(
+                detection_shards=2,
+                detection=DetectionService(InstrumentationRegistry()),
+            )
 
 
 class TestShardService:
     def test_preserves_registry_and_config(self):
         registry = InstrumentationRegistry()
+        heard = []
+        registry.add_listener(heard.append)
         plain = DetectionService(
             registry, idle_timeout=123.0, min_requests=5
         )
         registry.register(_probe("4.4.4.4", key="k-preserved"))
-        resharded = shard_service(plain, 4)
+        node = _node(detection=plain)
+        node.shard_detection(4)
         # The registry is re-partitioned into an IP-routed facade; the
         # registrations (and their per-IP order) must survive the move.
-        assert [p.key for p in resharded.registry.iter_probes()] == [
+        assert [p.key for p in node.registry.iter_probes()] == [
             "k-preserved"
         ]
-        assert resharded.registry.n_partitions == 4
-        assert resharded.n_shards == 4
-        assert resharded.tracker.idle_timeout == 123.0
-        assert resharded.tracker.min_requests == 5
-        assert isinstance(resharded.classifier, OnlineClassifier)
+        assert node.registry.n_partitions == 4
+        assert node.n_state_shards == 4
+        for shard in node.state_shards:
+            assert shard.session_idle_timeout == 123.0
+            assert shard.detection.tracker.min_requests == 5
+            assert shard.registry is node.registry.partition(shard.shard_id)
+        assert node.session_idle_timeout == 123.0
+        assert isinstance(node.classifier, OnlineClassifier)
+        # Listeners migrate too: a later registration is still journaled.
+        node.registry.register(_probe("5.5.5.5", key="k-after"))
+        assert [p.key for p in heard] == ["k-preserved", "k-after"]
 
     def test_refuses_after_traffic(self):
-        plain = DetectionService(InstrumentationRegistry())
-        plain.handle_request(_request("1.1.1.1"))
+        node = _node()
+        node.handle(_request("1.1.1.1"))
         with pytest.raises(RuntimeError):
-            shard_service(plain, 2)
+            node.shard_detection(2)
 
     def test_resharding_a_sharded_service(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=2, min_requests=7
+        node = _node(
+            detection=DetectionService(
+                InstrumentationRegistry(), min_requests=7
+            )
         )
-        resharded = shard_service(sharded, 8)
-        assert resharded.n_shards == 8
-        assert resharded.tracker.min_requests == 7
+        node.shard_detection(2)
+        node.shard_detection(2)  # same count: a no-op
+        node.shard_detection(8)
+        assert node.n_state_shards == 8
+        assert all(
+            shard.detection.tracker.min_requests == 7
+            for shard in node.state_shards
+        )
 
 
 class TestMergeSessions:
     def test_sorts_across_groups(self):
-        sharded = ShardedDetectionService(
-            InstrumentationRegistry(), n_shards=8
-        )
-        _drive(sharded, _stream(n_clients=16, requests_each=2))
-        sharded.tracker.finalize_all()
-        groups = [
-            shard.tracker.completed for shard in sharded.shards
-        ]
-        merged = merge_sessions(groups)
-        assert len(merged) == sum(len(g) for g in groups)
-        keys = [
-            (s.started_at, s.key.client_ip, s.key.user_agent)
-            for s in merged
-        ]
+        node = _node(detection_shards=8)
+        _drive(node, _stream(n_clients=16, requests_each=12))
+        merged = node.finalize()
+        groups = [shard.analyzable_sessions() for shard in node.state_shards]
+        assert len(merged) == sum(len(g) for g in groups) == 16
+        keys = [session_order(s) for s in merged]
         assert keys == sorted(keys)

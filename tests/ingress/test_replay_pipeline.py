@@ -3,14 +3,13 @@
 The acceptance matrix: census, set-algebra summary, per-session verdicts
 and network stats must be byte-identical across ``{serial, thread,
 process}`` executors × queue depths ``{1, 16, unbounded}`` on the same
-recorded trace — and identical to the synchronous replay loop.  Load
-shedding must be visible in the stats, never silent.
+recorded trace — and identical to the default replay
+(``executor=None``, which runs the serial lanes).  Load shedding must
+be visible in the stats, never silent.
 """
 
 from __future__ import annotations
 
-import asyncio
-import dataclasses
 import pickle
 
 import numpy as np
@@ -18,13 +17,11 @@ import pytest
 
 from repro.detection.online import OnlineClassifier
 from repro.ingress.batcher import MicroBatchConfig
-from repro.ingress.frontend import AsyncIngress, ThreadedDriver
 from repro.ingress.pipeline import (
     IngressConfig,
     IngressPipeline,
     replay_workers,
 )
-from repro.ingress.workers import PROBE_EVENT, REQUEST_EVENT
 from repro.ml.adaboost import AdaBoostModel
 from repro.ml.stump import DecisionStump
 from repro.proxy.network import ProxyNetwork
@@ -49,10 +46,6 @@ def _verdicts(result):
         )
         for s in result.sessions
     }
-
-
-def _without_admission(stats):
-    return dataclasses.replace(stats, queued=0, shed=0)
 
 
 def _scorer_model() -> AdaBoostModel:
@@ -125,9 +118,7 @@ class TestExecutorDeterminism:
         assert result.probes_loaded == baseline.probes_loaded
         assert result.first_timestamp == baseline.first_timestamp
         assert result.last_timestamp == baseline.last_timestamp
-        # Stats are byte-identical apart from the admission counters
-        # the synchronous loop does not have.
-        assert _without_admission(result.stats) == baseline.stats
+        assert result.stats == baseline.stats
         records, probes = recorded
         assert result.stats.queued == len(records) + len(probes)
         assert result.stats.shed == 0
@@ -345,18 +336,19 @@ class TestMetricsDeterminism:
         assert snap.total("repro_captcha_offered_total") == 0  # replay
         assert reference.flight  # the recorder actually sampled
 
-    def test_sync_loop_metrics_embed_in_pipelined(
-        self, recorded, reference
-    ):
-        # The synchronous loop has no ingress/batch instruments, but
-        # every deterministic point it does produce must appear with
-        # the same value in the pipelined run's merged snapshot.
-        sync = _replay(recorded)
-        pipelined = {
-            p.key: p for p in reference.metrics.deterministic().points
-        }
-        for point in sync.metrics.deterministic().points:
-            assert pipelined[point.key] == point
+    def test_sync_loop_metrics_embed_in_pipelined(self, recorded):
+        # Every deterministic point the default replay (serial lanes)
+        # produces must appear with the same value in the thread and
+        # process runs' merged snapshots, and they must add none.
+        default = _replay(recorded).metrics.deterministic().points
+        for executor in ("thread", "process"):
+            result = _replay(recorded, executor=executor, queue_depth=16)
+            pipelined = {
+                p.key: p for p in result.metrics.deterministic().points
+            }
+            for point in default:
+                assert pipelined[point.key] == point
+            assert len(pipelined) == len(default)
 
     def test_process_lanes_refuse_metrics_listeners(self, recorded):
         records, probes = recorded
@@ -413,74 +405,6 @@ class TestFrontends:
             network, replay_workers(network, config), config
         )
 
-    @staticmethod
-    def _events(recorded):
-        """Timestamp-interleaved event stream (probes before requests
-        at equal times), the order the replay engine admits in."""
-        records, probes = recorded
-        merged = [
-            (probe.issued_at, 0, (PROBE_EVENT, probe), probe.client_ip)
-            for probe in probes
-        ] + [
-            (record.timestamp, 1, (REQUEST_EVENT, record), record.client_ip)
-            for record in records
-        ]
-        merged.sort(key=lambda entry: (entry[0], entry[1]))
-        for _time, _priority, event, client_ip in merged:
-            yield event, client_ip
-
-    def test_async_frontend_matches_synchronous(self, recorded):
-        baseline = _replay(recorded)
-
-        async def drive():
-            ingress = await AsyncIngress(self._pipeline()).start()
-            for event, client_ip in self._events(recorded):
-                await ingress.submit(event, client_ip)
-            return await ingress.close()
-
-        result = asyncio.run(drive())
-        assert result.session_sets().summary() == baseline.summary
-        assert result.handled == baseline.requests_replayed
-        assert result.probes_loaded == baseline.probes_loaded
-
-    def test_threaded_driver_matches_synchronous(self, recorded):
-        baseline = _replay(recorded)
-        driver = ThreadedDriver(self._pipeline(executor="serial"))
-        result = driver.start(self._events(recorded)).join()
-        assert result.session_sets().summary() == baseline.summary
-        assert result.handled == baseline.requests_replayed
-
-    def test_async_frontend_surfaces_worker_failure(self):
-        """A pump-task death must raise, never strand producers on a
-        full hand-off queue."""
-
-        class ExplodingWorker:
-            def process(self, event):
-                raise RuntimeError("lane blew up")
-
-            def finish(self):
-                return None
-
-        network = ProxyNetwork(
-            origins={},
-            rng=RngStream(0, "replay"),
-            n_nodes=1,
-            instrument_enabled=False,
-        )
-        config = IngressConfig(executor="serial")
-        pipeline = IngressPipeline(network, [ExplodingWorker()], config)
-
-        async def drive():
-            ingress = await AsyncIngress(
-                pipeline, max_pending=4
-            ).start()
-            for index in range(64):  # far beyond max_pending
-                await ingress.submit(("request", index), "10.0.0.1")
-            return await ingress.close()
-
-        with pytest.raises(RuntimeError, match="admission failed"):
-            asyncio.run(drive())
-
     def test_pipeline_rejects_double_close(self):
         pipeline = self._pipeline(executor="serial")
         pipeline.close()
@@ -519,9 +443,11 @@ class TestBatcherTrackerAlignment:
 
 
 class TestPicklableLaneState:
-    def test_node_with_live_shard_executor_pickles(
-        self, small_origin, small_site
-    ):
+    def test_sharded_node_pickles(self, small_origin, small_site):
+        from repro.http.headers import Headers
+        from repro.http.message import Method, Request
+        from repro.http.uri import Url
+
         network = ProxyNetwork(
             origins={small_site.host: small_origin},
             rng=RngStream(3, "net"),
@@ -529,14 +455,27 @@ class TestPicklableLaneState:
             detection_shards=4,
         )
         node = network.nodes[0]
-        network.shard_detection(4, max_workers=2)
-        # Force the lazy thread pool into existence, then pickle.
-        node.detection.map_shards(lambda shard: shard.tracker.live_count)
-        assert node.detection._executor is not None
+        ips = [f"10.0.0.{i}" for i in range(8)]
+        for round_no in range(12):  # > 10 requests: analyzable
+            for ip in ips:
+                node.handle(
+                    Request(
+                        method=Method.GET,
+                        url=Url.parse(f"http://{small_site.host}/"),
+                        client_ip=ip,
+                        headers=Headers([("User-Agent", "ua/1.0")]),
+                        timestamp=float(round_no),
+                    )
+                )
         clone = pickle.loads(pickle.dumps(node))
-        assert clone.detection._executor is None
-        assert clone.detection.n_shards == 4
-        # The revived service still works (executor recreated lazily).
-        assert clone.detection.map_shards(
-            lambda shard: shard.tracker.live_count
-        ) == [0, 0, 0, 0]
+        assert clone.n_state_shards == 4
+        assert clone.stats == node.stats
+        # The revived node keeps routing to the same shard sessions.
+        for ip in ips:
+            assert (
+                clone.session(ip, "ua/1.0").session_id
+                == node.session(ip, "ua/1.0").session_id
+            )
+        finalized = [s.session_id for s in node.finalize()]
+        assert len(finalized) == len(ips)
+        assert [s.session_id for s in clone.finalize()] == finalized

@@ -3,7 +3,7 @@
 The acceptance matrix for causal tracing: the virtual-domain trace
 export must be byte-identical across ``{serial, thread, process}``
 executors × lane counts on the same recorded trace — and identical to
-the synchronous replay loop.  Wall-domain traces are non-deterministic
+the default replay (``executor=None``, serial lanes).  Wall-domain traces are non-deterministic
 by nature but must parse, profile, and attribute the bulk of
 end-to-end time to named stages.
 """
@@ -74,7 +74,7 @@ def _replay(recorded, **config_kwargs):
 class TestVirtualTraceIdentity:
     @pytest.fixture(scope="class")
     def baseline(self, recorded):
-        """The synchronous loop's virtual trace export."""
+        """The default replay's virtual trace export."""
         result = _replay(recorded)
         assert result.spans
         return to_trace_events(result.spans, clock="virtual")

@@ -41,7 +41,7 @@ class TestNodeServing:
     def test_beacon_served_locally(self, make_node, small_site):
         node = make_node()
         node.handle(_request(small_site, small_site.home_path))
-        probes = node.detection.registry.outstanding("10.0.0.5")
+        probes = node.registry.outstanding("10.0.0.5")
         css = next(p for p in probes if p.kind is BeaconKind.CSS_BEACON)
         origin_before = node.stats.origin_requests
         resp = node.handle(_request(small_site, css.path, t=1.0))
@@ -82,7 +82,7 @@ class TestNodeServing:
     def test_policy_blocks_wrong_key_fetcher(self, make_node, small_site):
         node = make_node()
         node.handle(_request(small_site, small_site.home_path))
-        probes = node.detection.registry.outstanding("10.0.0.5")
+        probes = node.registry.outstanding("10.0.0.5")
         decoy = next(
             p
             for p in probes
@@ -97,9 +97,10 @@ class TestNodeServing:
     def test_housekeeping_runs(self, make_node, small_site):
         node = make_node()
         node.handle(_request(small_site, small_site.home_path))
+        assert node.session("10.0.0.5", "Mozilla/4.0 (MSIE)") is not None
         node.housekeeping(now=100000.0)
-        assert node.detection.tracker.live_count == 0
-        assert len(node.detection.registry) == 0
+        assert node.session("10.0.0.5", "Mozilla/4.0 (MSIE)") is None
+        assert len(node.registry) == 0
 
 
 class TestNetwork:

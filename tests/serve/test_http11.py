@@ -5,12 +5,14 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.http.headers import Headers
 from repro.http.message import Method, Response, error_response, html_response
 from repro.serve.http11 import (
     Http11Limits,
     HttpParseError,
+    ParsedRequest,
     read_request,
     read_response,
     render_response,
@@ -299,3 +301,117 @@ class TestReadResponse:
 
         with pytest.raises(HttpParseError):
             asyncio.run(go())
+
+
+# -- properties ---------------------------------------------------------------
+
+_TOKEN = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-",
+    min_size=1,
+    max_size=12,
+)
+_FIELD_TEXT = st.text(
+    alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+    max_size=40,
+)
+
+
+@st.composite
+def _request_bytes(draw) -> bytes:
+    """Byte strings near the request grammar: each piece is usually
+    valid and sometimes arbitrary, so every parser branch sees both."""
+    method = draw(
+        st.sampled_from(["GET", "GET", "POST", "HEAD", "PUT", "get", ""])
+    )
+    targets = st.sampled_from(["/", "/a/b.html?x=1", "http://h.test/p", "*"])
+    target = draw(st.one_of(targets, targets, targets, _FIELD_TEXT))
+    version = draw(
+        st.sampled_from(["HTTP/1.1"] * 4 + ["HTTP/1.0", "HTTP/2", ""])
+    )
+    lines = [f"{method} {target} {version}"]
+    for _ in range(draw(st.integers(0, 4))):
+        name = draw(
+            st.one_of(
+                st.sampled_from(
+                    ["Host", "Content-Length", "Connection",
+                     "Transfer-Encoding", "User-Agent"]
+                ),
+                _TOKEN,
+                _FIELD_TEXT,
+            )
+        )
+        value = draw(
+            st.one_of(_FIELD_TEXT, st.integers(-2, 40).map(str))
+        )
+        separator = draw(st.sampled_from([": ", ": ", ":", " ", ""]))
+        lines.append(f"{name}{separator}{value}")
+    end = draw(st.sampled_from(["\r\n\r\n"] * 3 + ["\r\n", "\n\n", ""]))
+    wire = "\r\n".join(lines).encode("latin-1") + end.encode()
+    return wire + draw(st.binary(max_size=32))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.one_of(st.binary(max_size=200), _request_bytes()))
+def test_read_request_frames_or_refuses_any_bytes(data):
+    for limits in (None, Http11Limits(max_request_line=16,
+                                      max_header_bytes=32,
+                                      max_headers=2, max_body_bytes=4)):
+        try:
+            parsed = parse(data, default_host="site.test", limits=limits)
+        except HttpParseError as exc:
+            assert exc.status in (400, 413, 431, 501, 505)
+            continue
+        assert parsed is None or isinstance(parsed, ParsedRequest)
+
+
+_STATUSES = st.sampled_from(
+    [100, 200, 201, 204, 206, 301, 302, 304, 400, 403, 404, 413, 431,
+     500, 501, 502, 503, 505, 299, 599]
+)
+_HEADER_VALUE = st.text(
+    alphabet=st.characters(min_codepoint=0x21, max_codepoint=0xFF),
+    max_size=30,
+).flatmap(
+    lambda head: st.text(
+        alphabet=st.characters(min_codepoint=0x20, max_codepoint=0xFF),
+        max_size=10,
+    ).map(lambda tail: (head + tail).strip())
+)
+_HEADER_NAME = _TOKEN.filter(
+    lambda name: name.lower() not in (
+        "connection", "keep-alive", "proxy-connection", "te",
+        "transfer-encoding", "upgrade", "content-length",
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    status=_STATUSES,
+    headers=st.lists(st.tuples(_HEADER_NAME, _HEADER_VALUE), max_size=6),
+    body=st.binary(max_size=300),
+    keep_alive=st.booleans(),
+    head=st.booleans(),
+)
+def test_render_then_read_response_round_trips(
+    status, headers, body, keep_alive, head
+):
+    response = Response(status=status, headers=Headers(headers), body=body)
+
+    async def go():
+        reader = asyncio.StreamReader()
+        reader.feed_data(
+            render_response(response, head=head, keep_alive=keep_alive)
+        )
+        reader.feed_eof()
+        return await read_response(reader, head=head)
+
+    got_status, got_headers, got_body, got_keep_alive = asyncio.run(go())
+    assert got_status == status
+    assert got_body == (b"" if head else body)
+    assert got_keep_alive == keep_alive
+    assert list(got_headers) == [
+        *headers,
+        ("Content-Length", str(len(body))),
+        ("Connection", "keep-alive" if keep_alive else "close"),
+    ]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import threading
 
 from repro.http.uri import Url
 from repro.overload.ladder import LadderConfig
@@ -204,7 +205,9 @@ class TestCaptchaFunnel:
     def test_challenge_and_verify_stay_out_of_trace(self):
         async def go():
             network, _, host = build_network(n_sessions=2)
-            server = await start_server(network, host, ladder=LadderConfig())
+            server = await start_server(
+                network, host, ladder=LadderConfig(), trust_forwarded_for=True
+            )
             try:
                 challenge = await raw_exchange(
                     server.port,
@@ -262,6 +265,7 @@ class TestLiveReplayRoundTrip:
             server = await start_server(
                 network, host,
                 trace_path=trace_path, probes_path=probes_path,
+                trust_forwarded_for=True,
             )
             try:
                 result = await run_swarm(
@@ -329,6 +333,7 @@ class TestLiveReplayRoundTrip:
                 network, host,
                 trace_path=trace_path,
                 policy="shed", max_pending_per_node=1,
+                trust_forwarded_for=True,
             )
             try:
                 result = await run_swarm(
@@ -352,3 +357,139 @@ class TestLiveReplayRoundTrip:
         )
         assert stats.malformed == 0
         assert len(parsed) == len(server.records)
+
+
+class TestShutdown:
+    def test_close_with_a_connected_client(self, tmp_path, caplog):
+        """``close()`` ends idle keep-alive handlers itself: no task is
+        left for ``asyncio.run`` to cancel (and log), and every answered
+        request is in the written access log."""
+        trace_path = str(tmp_path / "close.log")
+
+        async def go():
+            network, entry_url, host = build_network(n_sessions=2)
+            path = Url.parse(entry_url).path
+            server = await start_server(network, host, trace_path=trace_path)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            request = (
+                f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+                "User-Agent: UA\r\n\r\n"
+            ).encode()
+            for _ in range(3):
+                writer.write(request)
+                await writer.drain()
+                assert (await reader.readline()).startswith(b"HTTP/1.1 200 ")
+                length = 0
+                while True:
+                    line = await reader.readline()
+                    if line in (b"\r\n", b""):
+                        break
+                    if line.lower().startswith(b"content-length:"):
+                        length = int(line.split(b":")[1])
+                await reader.readexactly(length)
+            # The client keeps its connection open across close().
+            await server.close()
+            closed = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return server, closed
+
+        with caplog.at_level("DEBUG", logger="asyncio"):
+            server, closed = asyncio.run(go())
+        assert closed == b""  # the server hung up on the idle connection
+        assert server.requests_handled == 3
+        assert [r.levelname for r in caplog.records if r.levelno >= 30] == []
+        assert len(list(read_trace(trace_path))) == 3
+
+    def test_close_waits_for_an_in_flight_request(self, tmp_path):
+        """A request already inside a node when ``close()`` starts is
+        answered (with ``Connection: close``) and logged."""
+        trace_path = str(tmp_path / "inflight.log")
+        entered = threading.Event()
+        release = threading.Event()
+
+        async def go():
+            network, entry_url, host = build_network(n_sessions=2)
+            for node in network.nodes:
+                def held(request, _handle=node.handle_traced):
+                    entered.set()
+                    release.wait(5)
+                    return _handle(request)
+
+                node.handle_traced = held
+            path = Url.parse(entry_url).path
+            server = await start_server(network, host, trace_path=trace_path)
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port
+            )
+            writer.write(
+                (
+                    f"GET {path} HTTP/1.1\r\nHost: {host}\r\n"
+                    "User-Agent: UA\r\n\r\n"
+                ).encode()
+            )
+            await writer.drain()
+            loop = asyncio.get_running_loop()
+            assert await loop.run_in_executor(None, entered.wait, 5)
+            closing = asyncio.ensure_future(server.close())
+            await asyncio.sleep(0.05)
+            assert not closing.done()  # close() waits for the exchange
+            release.set()
+            await closing
+            reply = await asyncio.wait_for(reader.read(), timeout=5)
+            writer.close()
+            return server, reply
+
+        server, reply = asyncio.run(go())
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert b"connection: close" in reply.lower()
+        assert server.requests_handled == 1
+        assert len(list(read_trace(trace_path))) == 1
+
+
+class TestClientIdentity:
+    def test_default_ignores_forwarded_for(self):
+        async def go():
+            network, entry_url, host = build_network(n_sessions=2)
+            server = await start_server(network, host)
+            try:
+                reply = await raw_exchange(
+                    server.port,
+                    (
+                        f"GET {Url.parse(entry_url).path} HTTP/1.1\r\n"
+                        f"Host: {host}\r\nUser-Agent: UA\r\n"
+                        "X-Forwarded-For: 10.66.66.66\r\n"
+                        "Connection: close\r\n\r\n"
+                    ).encode(),
+                )
+            finally:
+                await server.close()
+            return server, reply
+
+        server, reply = asyncio.run(go())
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert [r.client_ip for r in server.records] == ["127.0.0.1"]
+
+    def test_opt_in_trusts_forwarded_for(self):
+        async def go():
+            network, entry_url, host = build_network(n_sessions=2)
+            server = await start_server(
+                network, host, trust_forwarded_for=True
+            )
+            try:
+                await raw_exchange(
+                    server.port,
+                    (
+                        f"GET {Url.parse(entry_url).path} HTTP/1.1\r\n"
+                        f"Host: {host}\r\nUser-Agent: UA\r\n"
+                        "X-Forwarded-For: 10.66.66.66\r\n"
+                        "Connection: close\r\n\r\n"
+                    ).encode(),
+                )
+            finally:
+                await server.close()
+            return server
+
+        server = asyncio.run(go())
+        assert [r.client_ip for r in server.records] == ["10.66.66.66"]

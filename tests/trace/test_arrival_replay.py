@@ -2,7 +2,7 @@
 
 Burst and diurnal profiles only exist under event-time drivers; the
 round trip (record interleaved → heap-merged replay) must reproduce the
-census for both, synchronously and through the pipelined ingress.
+census for both, on the default serial lanes and on queued executors.
 
 Real merged multi-node logs also deliver *out-of-order* timestamps —
 the case that previously corrupted ``TokenBucket`` refill clocks.  A

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gzip
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.http.message import Method
 from repro.http.uri import Url
@@ -180,3 +181,58 @@ class TestFileIo:
         lines = [format_clf_line(make_record(timestamp=float(i)))
                  for i in range(3)]
         assert len(list(read_trace(lines))) == 3
+
+
+# -- properties ---------------------------------------------------------------
+
+_SEGMENT = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.~%", min_size=1,
+    max_size=10,
+).filter(lambda segment: segment not in (".", ".."))
+_QUERY = st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789=&-_.%/", max_size=20
+)
+_URLS = st.builds(
+    lambda host, port, segments, query: Url.parse(
+        f"http://{host}{port}/{'/'.join(segments)}"
+        + (f"?{query}" if query else "")
+    ),
+    st.sampled_from(["www.example.com", "site.test", "10.0.0.1"]),
+    st.sampled_from(["", ":8080"]),
+    st.lists(_SEGMENT, max_size=4),
+    _QUERY,
+)
+#: Free text for quoted fields: anything printable, quotes and
+#: backslashes included, but not the ``-`` that stands for "absent".
+_QUOTED_TEXT = st.text(
+    alphabet=st.characters(
+        min_codepoint=0x20, blacklist_categories=("Cs", "Cc")
+    ),
+    min_size=1,
+    max_size=40,
+).filter(lambda text: text != "-")
+_RECORDS = st.builds(
+    TraceRecord,
+    client_ip=st.ip_addresses(v=4).map(str),
+    # Whole microseconds: the resolution the format carries.
+    timestamp=st.integers(0, 5 * 366 * 86_400 * 10**6).map(
+        lambda micros: micros / 1_000_000
+    ),
+    method=st.sampled_from(list(Method)),
+    url=_URLS,
+    status=st.integers(100, 599),
+    size=st.integers(0, 10**9),
+    user_agent=st.one_of(st.just(""), _QUOTED_TEXT),
+    referer=st.one_of(st.none(), _QUOTED_TEXT),
+    agent_kind=st.one_of(st.just(""), st.from_regex(r"[a-z_]{1,16}", fullmatch=True)),
+    true_label=st.sampled_from(["", "human", "robot"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(record=_RECORDS)
+def test_parse_inverts_format(record):
+    line = format_clf_line(record)
+    assert parse_clf_line(line) == record
+    # Files stay line-oriented: one record, one line.
+    assert "\n" not in line

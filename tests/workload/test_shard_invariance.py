@@ -4,7 +4,8 @@ behaviour knob.
 The same workload must produce identical set-algebra summaries, censuses,
 network stats and per-session verdicts whether detection state lives in
 one tracker or is hash-partitioned across 2 or 8 shards — in the
-sequential driver, the interleaved scheduler, and trace replay.
+sequential driver, the interleaved scheduler, the pipelined ingress
+lanes, and trace replay.
 """
 
 from __future__ import annotations
@@ -99,6 +100,8 @@ class TestWorkloadShardInvariance:
             assert _latency_multiset(result) == _latency_multiset(baseline)
 
     def test_executor_path_agrees(self, make_network, entry_url):
+        # Sharded state on thread-executor ingress lanes, one lane per
+        # shard, against the unsharded sequential driver.
         baseline = _run(
             make_network, entry_url, shards=0, mode="sequential"
         )
@@ -106,15 +109,14 @@ class TestWorkloadShardInvariance:
             make_network,
             entry_url,
             shards=4,
-            mode="sequential",
-            shard_workers=2,
+            mode="pipelined",
+            executor="thread",
+            lanes_per_node=4,
         )
         assert threaded.summary == baseline.summary
         assert _verdicts(threaded) == _verdicts(baseline)
 
     def test_shards_config_shards_the_network(self, make_network, entry_url):
-        from repro.detection.sharded import ShardedDetectionService
-
         network = make_network(n_nodes=2, seed=SEED)
         engine = WorkloadEngine(
             network,
@@ -125,28 +127,12 @@ class TestWorkloadShardInvariance:
         )
         engine.run()
         for node in network.nodes:
-            assert isinstance(node.detection, ShardedDetectionService)
-            assert node.detection.n_shards == 4
-
-    def test_shard_workers_applied_to_presharded_network(
-        self, make_network
-    ):
-        network = make_network(n_nodes=1, seed=SEED, detection_shards=4)
-        node = network.nodes[0]
-        assert node.detection.max_workers is None
-        # Same shard count but a newly requested executor width must not
-        # be silently discarded by the no-op fast path.
-        network.shard_detection(4, max_workers=2)
-        assert node.detection.max_workers == 2
-        unchanged = node.detection
-        network.shard_detection(4, max_workers=2)
-        assert node.detection is unchanged
+            assert node.n_state_shards == 4
+            assert node.registry.n_partitions == 4
 
     def test_invalid_shard_config(self):
         with pytest.raises(ValueError):
             WorkloadConfig(shards=-1)
-        with pytest.raises(ValueError):
-            WorkloadConfig(shard_workers=0)
 
 
 class TestReplayShardInvariance:
@@ -170,7 +156,7 @@ class TestReplayShardInvariance:
         recorder.annotate_ground_truth(result.records)
         return recorder.sorted_records(), recorder.sorted_probes()
 
-    def _replay(self, records, probes, shards, shard_workers=None):
+    def _replay(self, records, probes, shards, executor=None):
         network = ProxyNetwork(
             origins={},
             rng=RngStream(0, "replay"),
@@ -182,7 +168,7 @@ class TestReplayShardInvariance:
             ReplayConfig(
                 assume_sorted=True,
                 shards=shards,
-                shard_workers=shard_workers,
+                executor=executor,
             ),
         )
         return engine.replay(list(records), probes=list(probes))
@@ -202,7 +188,7 @@ class TestReplayShardInvariance:
         records, probes = recorded
         baseline = self._replay(records, probes, shards=0)
         threaded = self._replay(
-            records, probes, shards=4, shard_workers=2
+            records, probes, shards=4, executor="thread"
         )
         assert threaded.summary == baseline.summary
         assert threaded.kind_census() == baseline.kind_census()
@@ -210,5 +196,3 @@ class TestReplayShardInvariance:
     def test_invalid_replay_shard_config(self):
         with pytest.raises(ValueError):
             ReplayConfig(shards=-1)
-        with pytest.raises(ValueError):
-            ReplayConfig(shard_workers=0)
